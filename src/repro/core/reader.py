@@ -20,41 +20,35 @@ The reader is **streaming**: file bytes come from a bounded-memory
 :class:`~repro.core.bytesource.ByteSource` (mmap or buffered file), and
 only the header section, one directory, or one frame is materialized at a
 time — peak memory is O(frame), not O(file).  Decoded frames are kept in a
-small LRU cache so repeated frame displays (the Figure 7 access pattern)
-skip re-parsing; cached record objects are shared between calls, so
-callers must treat them as read-only.
+small :class:`~repro.core.framecache.FrameCache` so repeated frame displays
+(the Figure 7 access pattern) skip re-parsing; cached record objects are
+shared between calls, so callers must treat them as read-only.
 """
 
 from __future__ import annotations
 
 import struct
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterator
 
 from repro.core.bytesource import ByteSource, open_source
+from repro.core.framecache import (
+    BATCH,
+    DEFAULT_FRAME_CACHE,
+    RECORDS,
+    FrameCache,
+    decode_batch,
+    decode_records,
+)
 from repro.core.frames import NO_DIRECTORY, FrameDirectory, FrameEntry, aggregate_totals
 from repro.core.profilefmt import Profile
 from repro.core.records import IntervalRecord, skip_record, unpack_type_word, decode_length
-from repro.core.salvage import (
-    SalvageReport,
-    check_error_mode,
-    salvage_frame_records,
-    salvage_stats,
-)
+from repro.core.salvage import DECODE_ERRORS, SalvageReport, check_error_mode, salvage_stats
 from repro.core.threadtable import ThreadTable
 from repro.core.windows import overlaps_window
 from repro.core.writer import IntervalFileHeader, decode_marker_table, decode_node_table
 from repro.errors import FormatError
-
-#: Low-level exceptions a corrupted byte stream can surface; readers
-#: translate them into FormatError so callers see one failure type.
-_DECODE_ERRORS = (struct.error, IndexError, ValueError, OverflowError, UnicodeDecodeError)
-
-#: Default number of decoded frames the reader keeps (LRU).
-DEFAULT_FRAME_CACHE = 16
 
 #: Nominal byte length charged to the salvage report for a damaged frame
 #: directory — its true extent is unknowable once the header lies.
@@ -80,24 +74,13 @@ class IntervalReader:
             SalvageReport(path=self.path) if self._salvage_mode else None
         )
         self.source = source if source is not None else open_source(self.path, mode)
-        self.cache_hits = 0
-        self.cache_misses = 0
-        self.cache_evictions = 0
-        self._frame_cache: OrderedDict[tuple[int, int], list[IntervalRecord]] = OrderedDict()
-        # Columnar batches cache separately: a query session tends to stick
-        # with one executor, so the two caches rarely both fill.
-        self._batch_cache: OrderedDict[tuple[int, int], object] = OrderedDict()
+        self.cache = FrameCache(cache_frames)
         # Parsed frame-directory chain, filled by the first complete strict
         # walk.  Interval files are immutable once written (live appends go
         # through their own container protocol), so re-decoding the chain on
         # every find_frame would make random access O(directories) instead of
         # the O(1)-per-lookup the frame directory exists to provide.
         self._dir_chain: list[FrameDirectory] | None = None
-        self._cache_frames = max(0, cache_frames)
-        # Serializes frame reads: the LRU mutation (move_to_end + eviction)
-        # and the byte source's internal chunk cache are not safe under
-        # concurrent readers sharing one instance (the serving daemon does).
-        self._cache_lock = threading.Lock()
         if len(self.source) < IntervalFileHeader.size():
             raise FormatError(f"{self.path}: truncated interval file")
         try:
@@ -119,7 +102,7 @@ class IntervalReader:
             self.node_cpus, offset = decode_node_table(
                 tables, offset, self.header.n_nodes
             )
-        except _DECODE_ERRORS as exc:
+        except DECODE_ERRORS as exc:
             raise FormatError(f"{self.path}: corrupt header section ({exc})") from exc
         self.profile = profile
         if profile is not None:
@@ -127,8 +110,7 @@ class IntervalReader:
 
     def close(self) -> None:
         """Release the underlying byte source and drop the frame cache."""
-        self._frame_cache.clear()
-        self._batch_cache.clear()
+        self.cache.clear()
         self.source.close()
 
     def __enter__(self) -> "IntervalReader":
@@ -151,7 +133,7 @@ class IntervalReader:
         """The first frame directory (head of the doubly linked list)."""
         try:
             return FrameDirectory.read_from(self.source, self.header.first_dir_offset)
-        except _DECODE_ERRORS as exc:
+        except DECODE_ERRORS as exc:
             raise FormatError(
                 f"{self.path}: corrupt frame directory at "
                 f"{self.header.first_dir_offset} ({exc})"
@@ -184,7 +166,7 @@ class IntervalReader:
             seen.add(offset)
             try:
                 directory = FrameDirectory.read_from(self.source, offset)
-            except _DECODE_ERRORS as exc:
+            except DECODE_ERRORS as exc:
                 raise FormatError(
                     f"{self.path}: corrupt frame directory at {offset} ({exc})"
                 ) from exc
@@ -232,7 +214,7 @@ class IntervalReader:
             return None
         try:
             directory = FrameDirectory.read_from(self.source, offset)
-        except _DECODE_ERRORS + (FormatError,):
+        except DECODE_ERRORS + (FormatError,):
             return None
         for frame in directory.frames:
             if frame.start_time > frame.end_time:
@@ -300,119 +282,49 @@ class IntervalReader:
 
         Cache hits return a fresh list sharing the previously decoded
         record objects — treat them as read-only.  Thread-safe: readers
-        shared across threads (the serving daemon) serialize on an
-        internal lock."""
-        key = (frame.offset, frame.size)
-        with self._cache_lock:
-            cached = self._frame_cache.get(key)
-            if cached is not None:
-                self._frame_cache.move_to_end(key)
-                self.cache_hits += 1
-                return list(cached)
-            self.cache_misses += 1
-            records = self._decode_frame(frame)
-            if self._cache_frames:
-                self._frame_cache[key] = records
-                while len(self._frame_cache) > self._cache_frames:
-                    self._frame_cache.popitem(last=False)
-                    self.cache_evictions += 1
-            return list(records)
+        shared across threads (the serving daemon) serialize on the
+        cache's lock."""
+        return list(self.cache.get(RECORDS, frame, self._decode_frame))
+
+    def read_frame_batch(self, frame: FrameEntry):
+        """Decode one frame into a columnar :class:`~repro.query.columnar.
+        FrameBatch` (cached beside the record-object frames).
+
+        In salvage mode the resynchronizing record decoder runs first and
+        the batch mirrors its output, so both executors see identical
+        salvaged records."""
+        return self.cache.get(BATCH, frame, self._decode_batch)
 
     def stats(self) -> dict[str, int]:
         """Cache and IO accounting in the shared stats shape:
-        ``{"hits", "misses", "evictions", "fetch_count", "bytes_fetched"}``,
-        extended with the salvage counters (zero in strict mode)."""
+        ``{"hits", "misses", "evictions", "resident_bytes", "fetch_count",
+        "bytes_fetched"}``, extended with the salvage counters (zero in
+        strict mode)."""
         return {
-            "hits": self.cache_hits,
-            "misses": self.cache_misses,
-            "evictions": self.cache_evictions,
+            **self.cache.stats(),
             **self.source.stats(),
             **salvage_stats(self.salvage),
         }
 
-    def read_frame_batch(self, frame: FrameEntry):
-        """Decode one frame into a columnar :class:`~repro.query.columnar.
-        FrameBatch` (LRU-cached separately from record-object frames).
-
-        Strict mode decodes straight from a zero-copy byte-source view; in
-        salvage mode the resynchronizing record decoder runs first and the
-        batch mirrors its output, so both executors see identical salvaged
-        records.  Cache hits/misses share the reader's counters."""
-        from repro.query.columnar import batch_from_records, decode_frame_batch
-
-        key = (frame.offset, frame.size)
-        with self._cache_lock:
-            cached = self._batch_cache.get(key)
-            if cached is not None:
-                self._batch_cache.move_to_end(key)
-                self.cache_hits += 1
-                return cached
-            self.cache_misses += 1
-            if self._salvage_mode:
-                batch = batch_from_records(self._decode_frame(frame))
-            else:
-                profile = self._require_profile()
-                view = self.source.view(frame.offset, frame.size)
-                try:
-                    size_read = len(view)
-                    try:
-                        batch = decode_frame_batch(view, profile, self.header.field_mask)
-                    except _DECODE_ERRORS as exc:
-                        raise FormatError(
-                            f"{self.path}: corrupt record in frame at offset "
-                            f"{frame.offset} ({exc})"
-                        ) from exc
-                finally:
-                    view.release()
-                if batch.n != frame.n_records or size_read != frame.size:
-                    raise FormatError(
-                        f"frame at {frame.offset}: decoded {batch.n} records, "
-                        f"entry says {frame.n_records}"
-                    )
-            if self._cache_frames:
-                self._batch_cache[key] = batch
-                while len(self._batch_cache) > self._cache_frames:
-                    self._batch_cache.popitem(last=False)
-                    self.cache_evictions += 1
-            return batch
-
     def _decode_frame(self, frame: FrameEntry) -> list[IntervalRecord]:
-        profile = self._require_profile()
         blob = self.source.fetch(frame.offset, frame.size)
+        return decode_records(
+            blob,
+            frame,
+            self._require_profile(),
+            self.header.field_mask,
+            path=self.path,
+            report=self.salvage,
+        )
+
+    def _decode_batch(self, frame: FrameEntry):
         if self._salvage_mode:
-            assert self.salvage is not None
-            records = salvage_frame_records(
-                blob,
-                profile,
-                self.header.field_mask,
-                base_offset=frame.offset,
-                report=self.salvage,
-                expected_records=frame.n_records,
-                expected_size=frame.size,
-                time_span=(frame.start_time, frame.end_time),
-            )
-            if not records and frame.n_records:
-                self.salvage.frames_quarantined += 1
-            return records
-        records = []
-        pos = 0
-        end = len(blob)
-        while pos < end:
-            try:
-                record, pos = IntervalRecord.decode(
-                    blob, pos, profile, self.header.field_mask
-                )
-            except _DECODE_ERRORS as exc:
-                raise FormatError(
-                    f"{self.path}: corrupt record at offset {frame.offset + pos} ({exc})"
-                ) from exc
-            records.append(record)
-        if len(records) != frame.n_records or len(blob) != frame.size:
-            raise FormatError(
-                f"frame at {frame.offset}: decoded {len(records)} records, "
-                f"entry says {frame.n_records}"
-            )
-        return records
+            from repro.query.columnar import batch_from_records
+
+            return batch_from_records(self._decode_frame(frame))
+        return decode_batch(
+            self.source, frame, self._require_profile(), self.header.field_mask, path=self.path
+        )
 
     def intervals(self) -> Iterator[IntervalRecord]:
         """All records in file order (ascending end time)."""
@@ -509,7 +421,7 @@ def get_interval(handle: IntervalFileHandle) -> bytes | None:
         local = handle._pos - handle._blob_base
         try:
             local_end = skip_record(handle._blob, local)
-        except _DECODE_ERRORS as exc:
+        except DECODE_ERRORS as exc:
             raise FormatError(
                 f"{handle.reader.path}: corrupt record at offset {handle._pos} ({exc})"
             ) from exc
@@ -556,7 +468,7 @@ def get_interval_at(handle: IntervalFileHandle, offset: int) -> bytes:
     prefix = source.fetch(offset, 3)
     try:
         body_len, body_offset = decode_length(prefix, 0)
-    except _DECODE_ERRORS as exc:
+    except DECODE_ERRORS as exc:
         raise FormatError(f"record at {offset} runs past end of file") from exc
     length = body_offset + body_len
     if offset + length > len(source):

@@ -34,6 +34,7 @@ import numpy as np
 
 from repro.core.atomicio import atomic_write_bytes
 from repro.core.profilefmt import Profile
+from repro.core.salvage import DECODE_ERRORS
 from repro.core.threadtable import ThreadTable
 from repro.errors import FormatError
 from repro.utils.slog import _FRAME_ENTRY, SlogFrameEntry, slog_metadata_bytes
@@ -56,8 +57,6 @@ INDEX_NAME = "index.uteidx"
 
 _HEADER = struct.Struct("<8sIIQQQB7x")  # magic, version, flags, seq, meta, data, flavor
 _TIME = struct.Struct("<QQ")
-
-_DECODE_ERRORS = (struct.error, IndexError, ValueError, OverflowError)
 
 
 def live_dir_for(path: str | Path) -> Path:
@@ -191,7 +190,7 @@ class EpochManifest:
                 pos += _FRAME_ENTRY.size
             if pos != len(data) - 4:
                 raise FormatError("live epoch has trailing bytes")
-        except _DECODE_ERRORS as exc:
+        except DECODE_ERRORS as exc:
             raise FormatError(f"corrupt live epoch ({exc})") from exc
         return cls(
             seq=seq, meta_size=meta_size, data_size=data_size, flavor=flavor,

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.core.bytesource import ByteSource
-from repro.core.reader import DEFAULT_FRAME_CACHE
+from repro.core.framecache import DEFAULT_FRAME_CACHE
 from repro.core.records import IntervalRecord
 from repro.errors import FormatError
 from repro.live.container import (

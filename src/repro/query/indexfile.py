@@ -47,6 +47,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro.core.atomicio import AtomicFile
+from repro.core.salvage import DECODE_ERRORS
 from repro.core.windows import overlaps_window
 from repro.errors import FormatError
 from repro.query.trace import TraceHandle
@@ -82,8 +83,6 @@ _BINGRID = struct.Struct("<qI")           # v2: bin grid origin, bin grid shift
 _FRAME = struct.Struct("<QQQQII")         # offset, size, start, end, n_records, n_thread_keys
 _BIN = struct.Struct("<QQ")               # record count, summed duration
 _POSTING = struct.Struct("<QI")           # thread key, n_frames
-
-_DECODE_ERRORS = (struct.error, IndexError, ValueError, OverflowError)
 
 
 def type_bit_set(bitmap: bytearray, itype: int) -> None:
@@ -266,7 +265,7 @@ class TraceIndex:
                 utilization, pos = UtilizationIndex.decode(data, pos)
             if pos != len(data) - 4:
                 raise FormatError("sidecar index has trailing bytes")
-        except _DECODE_ERRORS as exc:
+        except DECODE_ERRORS as exc:
             raise FormatError(f"corrupt sidecar index ({exc})") from exc
         return cls(
             source_size, sha, t_min, t_max, n_bins, tuple(bins), frames, postings,

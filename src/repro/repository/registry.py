@@ -14,9 +14,10 @@ daemon shares across requests.  The pieces:
   that died between publishing its data and publishing the manifest).
 
 * **Lazy sessions, LRU-evicted under one global memory budget.**  A
-  dataset's ``TraceSession`` opens on first use.  The per-reader frame
-  cache accounting (``SlogFile.resident_bytes``) is aggregated across all
-  open sessions; when the total exceeds ``budget_bytes``, whole
+  dataset's ``TraceSession`` opens on first use.  Each reader's one frame
+  cache (:class:`~repro.core.framecache.FrameCache`, records and columnar
+  batches alike) reports its ``resident_bytes``; these are aggregated
+  across all open sessions; when the total exceeds ``budget_bytes``, whole
   least-recently-used sessions are evicted (their cached frames count as
   cache evictions in the aggregate stats the metrics endpoint exports),
   and as a last resort the surviving session's own cache is shrunk.
@@ -70,19 +71,6 @@ _NAME_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]{0,99}$")
 
 #: Session-stats keys folded into the retirement tally on eviction.
 _STAT_KEYS = ("hits", "misses", "evictions", "fetch_count", "bytes_fetched")
-
-
-class _Governor:
-    """The pair of budget hooks a :class:`Repository` hands each reader:
-    ``reserve(nbytes)`` before decoding a frame into the cache (makes room
-    so resident + pending stays under the budget), ``commit(nbytes)`` once
-    the insert has landed (or failed)."""
-
-    __slots__ = ("reserve", "commit")
-
-    def __init__(self, reserve, commit) -> None:
-        self.reserve = reserve
-        self.commit = commit
 
 
 class RepositoryError(ReproError):
@@ -459,9 +447,8 @@ class Repository:
             self._pending = max(0, self._pending - nbytes)
 
     def _install_governor(self, session) -> None:
-        """Point the session's reader at the shared budget governor."""
-        slog = session.viewer.slog
-        slog.cache_governor = _Governor(self._reserve, self._commit)
+        """Point the session's frame cache at the shared budget governor."""
+        session.viewer.slog.cache.governor = (self._reserve, self._commit)
 
     def _evict(self, name: str) -> None:
         """Close one session, folding its counters into the retirement

@@ -419,15 +419,15 @@ class TraceSession:
 
     def resident_bytes(self) -> int:
         """Encoded bytes of the frames this session holds decoded."""
-        return self.viewer.slog.resident_bytes()
+        return self.viewer.slog.cache.resident_bytes
 
     def cached_frames(self) -> int:
-        """Cache entries this session currently holds."""
-        return self.viewer.slog.cached_frames()
+        """Cache entries (record frames and batches) this session holds."""
+        return len(self.viewer.slog.cache)
 
     def shrink_cache(self, max_bytes: int) -> int:
         """Drop LRU cached frames until at most ``max_bytes`` resident."""
-        return self.viewer.slog.shrink_cache(max_bytes)
+        return self.viewer.slog.cache.shrink(max_bytes)
 
     def reload_index(self) -> None:
         """Re-probe the sidecar index (a background build just published
@@ -510,14 +510,12 @@ class TraceSession:
         live view already covered every frame; the swap only moves the
         byte source and re-arms the mtime/size ETag discipline."""
         old = self.viewer
-        governor = getattr(old.slog, "cache_governor", None)
         stat = os.stat(self.path)
         self.live = False
         self.epoch_seq += 1  # finalization is itself an observable step
         self.etag_base = f"{self._etag_prefix}{stat.st_mtime_ns}-{stat.st_size}"
         self.viewer = Jumpshot(self.path, cache_frames=self._cache_frames)
-        if governor is not None:
-            self.viewer.slog.cache_governor = governor
+        self.viewer.slog.cache.governor = old.slog.cache.governor
         self.handle = TraceHandle(self.path, self.viewer.slog, "slog")
         self.index, self.index_reason = load_fresh_index(self.path)
         old.close()

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from repro.core.reader import DEFAULT_FRAME_CACHE
+from repro.core.framecache import DEFAULT_FRAME_CACHE
 from repro.core.records import IntervalRecord
 from repro.errors import FormatError
 from repro.utils.slog import SlogFile, SlogFrameEntry

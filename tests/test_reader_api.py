@@ -88,28 +88,41 @@ class TestAggregation:
 
 
 class TestSharedReaderThreadSafety:
-    """Regression: one IntervalReader shared by a thread pool (the serving
+    """Regression: one reader shared by a thread pool (the serving
     daemon's executor) must not corrupt its LRU frame cache."""
 
-    def test_concurrent_frame_reads_agree(self, tmp_path):
+    @pytest.mark.parametrize("kind", ["ute", "slog"])
+    def test_concurrent_frame_reads_agree(self, tmp_path, kind):
         from concurrent.futures import ThreadPoolExecutor
 
         from repro.core.reader import IntervalReader
+        from repro.utils.slog import SlogFile, SlogWriter
 
-        path = tmp_path / "shared.ute"
         table = ThreadTable([ThreadEntry(0, 1, 1, 0, 0, 0, "t")])
-        with IntervalFileWriter(
-            path, PROFILE, table, field_mask=MASK_ALL_PER_NODE, frame_bytes=256
-        ) as writer:
-            for i in range(200):
-                writer.write(
-                    IntervalRecord(
-                        IntervalType.RUNNING, BeBits.COMPLETE, i * 100, 50, 0, 0, 0
-                    )
-                )
+        records = [
+            IntervalRecord(IntervalType.RUNNING, BeBits.COMPLETE, i * 100, 50, 0, 0, 0)
+            for i in range(200)
+        ]
         # Tiny cache so concurrent readers constantly evict each other.
-        reader = IntervalReader(path, PROFILE, cache_frames=2)
-        frames = list(reader.frames())
+        if kind == "ute":
+            path = tmp_path / "shared.ute"
+            with IntervalFileWriter(
+                path, PROFILE, table, field_mask=MASK_ALL_PER_NODE, frame_bytes=256
+            ) as writer:
+                for record in records:
+                    writer.write(record)
+            reader = IntervalReader(path, PROFILE, cache_frames=2)
+            frames = list(reader.frames())
+        else:
+            path = tmp_path / "shared.slog"
+            with SlogWriter(
+                path, PROFILE, table, field_mask=MASK_ALL_PER_NODE, frame_bytes=256,
+                time_range=(0, records[-1].end),
+            ) as writer:
+                for record in records:
+                    writer.write(record)
+            reader = SlogFile(path, cache_frames=2)
+            frames = reader.frames
         assert len(frames) >= 8
         expected = {
             i: [(r.start, r.duration) for r in reader.read_frame(f)]
@@ -117,9 +130,15 @@ class TestSharedReaderThreadSafety:
         }
 
         def hammer(worker: int) -> bool:
+            # Mixed traffic: record frames and columnar batches share the
+            # one cache and its recency order.
             for step in range(120):
                 i = (worker * 7 + step) % len(frames)
-                got = [(r.start, r.duration) for r in reader.read_frame(frames[i])]
+                if (worker + step) % 2:
+                    got = [(r.start, r.duration) for r in reader.read_frame(frames[i])]
+                else:
+                    batch = reader.read_frame_batch(frames[i])
+                    got = list(zip(batch.start.tolist(), batch.dura.tolist()))
                 if got != expected[i]:
                     return False
             return True
@@ -129,3 +148,6 @@ class TestSharedReaderThreadSafety:
         assert all(results)
         stats = reader.stats()
         assert stats["hits"] + stats["misses"] == 8 * 120 + len(frames)
+        assert len(reader.cache) <= 4
+        assert stats["resident_bytes"] <= 4 * max(f.size for f in frames)
+        reader.close()

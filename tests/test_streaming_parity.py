@@ -141,36 +141,73 @@ def test_slog_streaming_parity(workdir):
             assert (matrix == want_matrix).all()
 
 
-def test_frame_cache_hits_skip_fetches(workdir):
+def write_slog_file(tmp, records, frame_bytes=512):
+    path = tmp / f"parity-{next(_COUNTER)}.slog"
+    table = ThreadTable([ThreadEntry(0, 1, 1, 0, t, 0, f"t{t}") for t in range(4)])
+    with SlogWriter(
+        path, PROFILE, table, field_mask=MASK_ALL_PER_NODE, markers={1: "phase"},
+        time_range=(0, max(records[-1].end, 1)), frame_bytes=frame_bytes,
+    ) as writer:
+        for record in records:
+            writer.write(record)
+    return path
+
+
+#: Both trace readers: (file writer, opener taking the reader options).
+READERS = {
+    "ute": (write_interval_file, lambda path, **kw: IntervalReader(path, PROFILE, **kw)),
+    "slog": (write_slog_file, lambda path, **kw: SlogFile(path, **kw)),
+}
+
+
+def frame_list(reader):
+    frames = reader.frames
+    return list(frames() if callable(frames) else frames)
+
+
+@pytest.mark.parametrize("kind", sorted(READERS))
+def test_frame_cache_hits_skip_fetches(workdir, kind):
+    write, open_reader = READERS[kind]
     records = build_records(
         [(IntervalType.RUNNING, i * 100, 50, 0) for i in range(300)]
     )
-    path = write_interval_file(workdir, records, frame_bytes=1024)
-    with IntervalReader(path, PROFILE, mode="file") as reader:
-        frames = list(reader.frames())
+    path = write(workdir, records, frame_bytes=1024)
+    with open_reader(path, mode="file") as reader:
+        frames = frame_list(reader)
         assert len(frames) > 2
         first = reader.read_frame(frames[0])
         reader.source.reset_accounting()
         again = reader.read_frame(frames[0])
         assert again == first
         assert reader.source.fetch_count == 0  # served from cache
-        assert reader.cache_hits == 1
+        assert reader.stats()["hits"] == 1
 
-        # Eviction: touch more frames than the cache holds, then re-read.
-        small = IntervalReader(path, PROFILE, mode="file", cache_frames=2)
+    # Eviction: touch more frames than the cache holds, in both
+    # representations, then re-read.
+    with open_reader(path, mode="file", cache_frames=2) as small:
         for frame in frames:
             small.read_frame(frame)
+            small.read_frame_batch(frame)
+        # Each representation keeps its own two most recent frames.
+        assert len(small.cache) == 4
+        assert small.stats()["resident_bytes"] == 2 * (frames[-1].size + frames[-2].size)
+        small.read_frame(frames[-2])
+        small.read_frame_batch(frames[-1])
         small.read_frame(frames[0])
-        assert small.cache_misses == len(frames) + 1  # frames[0] was evicted
-        small.close()
+        stats = small.stats()
+        assert stats["hits"] == 2
+        assert stats["misses"] == 2 * len(frames) + 1  # frames[0] was evicted
+        assert stats["evictions"] == 2 * (len(frames) - 2) + 1
 
-        # cache_frames=0 disables caching entirely.
-        uncached = IntervalReader(path, PROFILE, mode="file", cache_frames=0)
-        uncached.read_frame(frames[0])
-        uncached.read_frame(frames[0])
-        assert uncached.cache_hits == 0
-        assert uncached.cache_misses == 2
-        uncached.close()
+    # cache_frames=0 disables caching entirely.
+    with open_reader(path, mode="file", cache_frames=0) as uncached:
+        for _ in range(2):
+            uncached.read_frame(frames[0])
+            uncached.read_frame_batch(frames[0])
+        stats = uncached.stats()
+        assert stats["hits"] == 0
+        assert stats["misses"] == 4
+        assert stats["resident_bytes"] == 0 and len(uncached.cache) == 0
 
 
 def test_cached_frame_returns_fresh_list(workdir):
