@@ -495,10 +495,10 @@ def _check_aggregate_vs_exact(report: OracleReport, path: Path, profile) -> None
                         states = cell[1]
                         states[itype] = states.get(itype, 0) + overlap
                     cells[first][0] += 1
-        for lane_kind, lanes in (("thread", util.thread), ("cpu", util.cpu)):
+        for lane_kind in ("thread", "cpu"):
             got = {
                 key: {idx: (c[0], dict(c[1])) for idx, c in levels[0].items()}
-                for key, levels in lanes.items()
+                for key, levels in util.lanes(lane_kind).items()
             }
             want = {
                 key: {idx: (c[0], dict(c[1])) for idx, c in cells.items()}

@@ -234,6 +234,22 @@ class TestLiveSlogWriter:
         assert reason == "fresh"
         assert len(index.frames) == len(SlogFile(path).frames)
 
+    @pytest.mark.parametrize("bins", [4, 5])
+    def test_preview_horizon_doubling_conserves_busy(self, tmp_path, bins):
+        # Records ending far past the first horizon force several pairwise
+        # folds; with an odd bin count the tail bin folds on its own.
+        path = tmp_path / "run.slog"
+        writer = live_writer(path, preview_bins=bins)
+        records = [running(i * 37, 29) for i in range(40)]
+        for r in records:
+            writer.write(r)
+        assert writer._preview.horizon >= records[-1].end
+        writer.close()
+        with SlogFile(path) as slog:
+            busy = slog.preview[int(IntervalType.RUNNING)]
+            assert len(busy) == bins
+            assert busy.sum() == pytest.approx(sum(r.duration for r in records))
+
     def test_context_manager_aborts_on_error(self, tmp_path):
         path = tmp_path / "run.slog"
         with pytest.raises(RuntimeError):
@@ -346,6 +362,26 @@ class TestLiveIndex:
         assert sum(f.n_records for f in index.frames) == len(records)
         reader.close()
         writer.abort()
+
+    def test_final_sidecar_equals_rebuild(self, tmp_path):
+        from repro.query import build_index, index_path_for, open_trace
+
+        path = tmp_path / "run.slog"
+        writer = live_writer(path)
+        for i in range(60):
+            dura = 25 + 30 * (i % 4)
+            writer.write(
+                IntervalRecord(
+                    IntervalType.RUNNING, BeBits.COMPLETE, i * 40 + 100 - dura,
+                    dura, 0, i % 2, 0,
+                )
+            )
+            if i % 17 == 0:
+                writer.publish(seal=True)
+        writer.close()
+        with open_trace(path) as handle:
+            rebuilt = build_index(handle)
+        assert index_path_for(path).read_bytes() == rebuilt.encode()
 
 
 class TestFollowReader:

@@ -566,6 +566,38 @@ class TestIndexBuilds:
         assert reopened.builds_pending() == 0
         reopened.close()
 
+    def test_other_version_sidecar_is_stale_and_rebuilt(self, tmp_path, slog_bytes):
+        import struct
+        import zlib
+
+        from repro.query import MODE_INDEXED, Query, load_fresh_index, run_query
+
+        root = tmp_path / "root"
+        repo = Repository(root, build_indexes=True)
+        repo.register("a", data=slog_bytes)
+        assert repo.wait_index("a") == INDEX_READY
+        repo.close()
+        trace = root / "a" / "trace.slog"
+        sidecar = root / "a" / "trace.slog.uteidx"
+        # An intact sidecar of another format version: version word 2,
+        # checksum recomputed so only the version is "wrong".
+        data = bytearray(sidecar.read_bytes())
+        struct.pack_into("<I", data, 8, 2)
+        struct.pack_into("<I", data, len(data) - 4, zlib.crc32(bytes(data[:-4])))
+        sidecar.write_bytes(bytes(data))
+        assert load_fresh_index(trace) == (None, "stale:version")
+
+        reopened = Repository(root, build_indexes=True)
+        assert reopened.wait_index("a") == INDEX_READY
+        reopened.close()
+        index, reason = load_fresh_index(trace)
+        assert reason == "fresh" and index.utilization is not None
+        query = Query(t0=index.t_min + (index.t_max - index.t_min) // 3)
+        planned = run_query(trace, query)
+        scanned = run_query(trace, query, index=False)
+        assert planned.plan.mode == MODE_INDEXED
+        assert planned.rows == scanned.rows
+
 
 # --------------------------------------------------------- remote CLI mode
 

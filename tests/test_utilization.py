@@ -2,7 +2,9 @@
 
 Covers the grid helpers, builder exactness (busy time at the finest
 level equals the summed record durations, every coarser level folds
-exactly from the one below), order independence, the binary round-trip,
+exactly from the one below), order independence, a property test against
+a brute-force per-bin reference (any batch split and order, extension at
+any frame cut), the binary round-trip and its strict decode checks,
 windowed queries, the sidecar integration, the serving endpoint, and the
 ``ute-query --utilization`` command.
 """
@@ -11,20 +13,35 @@ import contextlib
 import io
 import json
 import random
+import struct
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.core import standard_profile
 from repro.core.fields import MASK_ALL_MERGED
 from repro.core.records import BeBits, IntervalRecord, IntervalType
 from repro.core.threadtable import ThreadEntry, ThreadTable
-from repro.query import build_index, index_path_for, open_trace, write_index
+from repro.errors import FormatError
+from repro.query import (
+    batch_from_records,
+    build_index,
+    index_path_for,
+    open_trace,
+    write_index,
+)
+from repro.query.indexfile import extend_index
 from repro.query.utilization import (
+    DEFAULT_BASE_BINS,
     UtilizationBuilder,
     UtilizationIndex,
     cpu_key,
     dominant_state,
     levels_for_span,
+    _RECORD_BINS,
     shift_for_span,
     split_thread_key,
     thread_key,
@@ -44,9 +61,13 @@ def rec(start, dura, *, node=0, cpu=0, thread=0, itype=IntervalType.RUNNING,
 
 def build(records, **kwargs):
     builder = UtilizationBuilder(**kwargs)
-    for r in records:
-        builder.add(r)
+    builder.add_batch(batch_from_records(records))
     return builder.build()
+
+
+def level_cells(util, kind, level):
+    """``{lane_key: {bin: (count, states)}}`` at one level."""
+    return {key: levels[level] for key, levels in util.lanes(kind).items()}
 
 
 def make_slog(path, records, *, threads=2, frame_bytes=512):
@@ -117,24 +138,24 @@ class TestBuilderExactness:
         for r in records:
             key = thread_key(r.node, r.thread)
             want[key] = want.get(key, 0) + r.duration
-        for key, levels in util.thread.items():
-            got = sum(
-                sum(states.values()) for _, states in levels[0].values()
-            )
+        for key, cells in level_cells(util, "thread", 0).items():
+            got = sum(sum(states.values()) for _, states in cells.values())
             assert got == want[key]
 
     def test_counts_attribute_each_record_once(self):
         records = sample_records()
         util = build(records).utilization
         total = sum(
-            count for levels in util.thread.values()
-            for count, _ in levels[0].values()
+            count for cells in level_cells(util, "thread", 0).values()
+            for count, _ in cells.values()
         )
         assert total == len(records)
 
     def test_every_level_folds_exactly_from_the_one_below(self):
         util = build(sample_records()).utilization
-        for levels in list(util.thread.values()) + list(util.cpu.values()):
+        lanes = list(util.lanes("thread").values()) + list(util.lanes("cpu").values())
+        for levels in lanes:
+            assert len(levels) == util.n_levels
             for li in range(1, util.n_levels):
                 folded = {}
                 for idx, (count, states) in levels[li - 1].items():
@@ -155,8 +176,8 @@ class TestBuilderExactness:
         built = build(records)
         util = built.utilization
         busy = sum(
-            sum(states.values()) for levels in util.thread.values()
-            for _, states in levels[0].values()
+            sum(states.values()) for cells in level_cells(util, "thread", 0).values()
+            for _, states in cells.values()
         )
         assert busy == 500
         # ...but the coarse grid counts every record by its start bin.
@@ -171,6 +192,124 @@ class TestBuilderExactness:
         assert a.bins == b.bins
 
 
+# ---------------------------------------------------------------------------
+# Property: the columnar builder against a brute-force per-bin reference.
+
+#: Record shapes mixed by the property tests: two busy states, a
+#: zero-duration pseudo-piece, a clock pair.
+_SHAPES = (IntervalType.RUNNING, MARKER, "pseudo", IntervalType.CLOCKPAIR)
+
+record_lists = st.lists(
+    st.tuples(
+        st.integers(0, 50_000),        # start
+        st.integers(0, 20_000),        # duration: long ones outgrow _RECORD_BINS
+        st.integers(0, 2),             # thread
+        st.integers(0, 1),             # cpu
+        st.sampled_from(_SHAPES),
+    ),
+    min_size=1, max_size=40,
+)
+
+
+def make_records(raw):
+    out = []
+    for start, dura, thread, cpu, shape in raw:
+        itype = IntervalType.RUNNING if shape == "pseudo" else shape
+        out.append(
+            rec(start, 0 if shape == "pseudo" else dura, cpu=cpu, thread=thread,
+                itype=itype, extra={"markerId": 1} if itype == MARKER else None)
+        )
+    return out
+
+
+def reference(records):
+    """The finest shift and level-0 cells, by per-record clipped overlap
+    bin by bin."""
+    t_min = min(r.start for r in records)
+    t_max = max(t_min, max(r.end for r in records))
+    busy = [
+        r for r in records
+        if r.duration > 0 and r.itype != IntervalType.CLOCKPAIR
+    ]
+    k = shift_for_span(t_min, t_max, DEFAULT_BASE_BINS)
+    while any(((r.end - 1) >> k) - (r.start >> k) >= _RECORD_BINS for r in busy):
+        k += 1
+    cells = {"thread": {}, "cpu": {}}
+    for r in busy:
+        for kind, key in (
+            ("thread", thread_key(r.node, r.thread)), ("cpu", cpu_key(r.node, r.cpu))
+        ):
+            lane = cells[kind].setdefault(key, {})
+            for idx in range(r.start >> k, ((r.end - 1) >> k) + 1):
+                overlap = min(r.end, (idx + 1) << k) - max(r.start, idx << k)
+                count, states = lane.get(idx, (0, {}))
+                states = {**states, r.itype: states.get(r.itype, 0) + overlap}
+                lane[idx] = (count + (idx == r.start >> k), states)
+    return k, cells
+
+
+def fold(cells, steps):
+    out = {}
+    for idx, (count, states) in cells.items():
+        prior_count, prior = out.get(idx >> steps, (0, {}))
+        merged = dict(prior)
+        for state, busy in states.items():
+            merged[state] = merged.get(state, 0) + busy
+        out[idx >> steps] = (prior_count + count, merged)
+    return out
+
+
+class TestBuilderProperty:
+    @given(raw=record_lists, data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_any_split_and_order_matches_the_reference(self, raw, data):
+        records = make_records(raw)
+        whole = build(records)
+        util = whole.utilization
+        k, want = reference(records)
+        assert util.base_shift == k
+        for kind in ("thread", "cpu"):
+            finest = level_cells(util, kind, 0)
+            assert finest == want[kind]
+            for level in range(1, util.n_levels):
+                assert level_cells(util, kind, level) == {
+                    key: fold(cells, level) for key, cells in finest.items()
+                }
+        # Any batch split, any order, with snapshots (live epochs) taken
+        # in between, lands on the same bytes.
+        order = data.draw(st.permutations(range(len(records))))
+        cuts = sorted(data.draw(st.lists(st.integers(0, len(records)), max_size=6)))
+        builder = UtilizationBuilder()
+        for lo, hi in zip([0, *cuts], [*cuts, len(records)]):
+            builder.add_batch(batch_from_records([records[i] for i in order[lo:hi]]))
+            if data.draw(st.booleans()):
+                builder.build()
+        split = builder.build()
+        assert split.utilization.encode() == util.encode()
+        assert (split.bin_origin, split.bin_shift, split.bins) == (
+            whole.bin_origin, whole.bin_shift, whole.bins
+        )
+
+    @given(raw=record_lists, data=st.data())
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_extension_at_any_frame_cut_equals_rebuild(self, raw, data):
+        from repro.query.indexfile import TraceIndex
+
+        records = make_records(raw)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = make_slog(Path(tmp) / "run.slog", records, threads=3, frame_bytes=128)
+            with open_trace(path, PROFILE) as handle:
+                full = build_index(handle)
+                frames = list(handle.frames)
+                cut = data.draw(st.integers(0, len(frames)))
+                handle.frames = frames[:cut]
+                base = TraceIndex.decode(build_index(handle).encode())
+                handle.frames = frames
+                extended = extend_index(handle, base)
+        assert extended.encode() == full.encode()
+
+
 class TestEncoding:
     def test_round_trip_is_identity(self):
         util = build(sample_records()).utilization
@@ -178,6 +317,38 @@ class TestEncoding:
         decoded, pos = UtilizationIndex.decode(data, 0)
         assert pos == len(data)
         assert decoded.encode() == data
+        for kind in ("thread", "cpu"):
+            assert decoded.query(kind, util.t_min, util.t_max, 64) == util.query(
+                kind, util.t_min, util.t_max, 64
+            )
+
+    def test_only_the_finest_level_is_persisted(self):
+        util = build(sample_records()).utilization
+        rows = sum(
+            len(states) for kind in ("thread", "cpu")
+            for cells in level_cells(util, kind, 0).values()
+            for _, states in cells.values()
+        )
+        lanes = len(util.lanes("thread")) + len(util.lanes("cpu"))
+        assert util.n_levels > 1
+        assert len(util.encode()) == 32 + 8 * lanes + 16 + 24 * rows
+
+    def test_strict_decode_rejects_non_canonical_rows(self):
+        util = build(sample_records()).utilization
+        data = util.encode()
+        lanes = len(util.lanes("thread")) + len(util.lanes("cpu"))
+        first = 32 + 8 * lanes + 16
+        swapped = bytearray(data)
+        swapped[first : first + 48] = data[first + 24 : first + 48] + data[first : first + 24]
+        idle = bytearray(data)
+        struct.pack_into("<Q", idle, first + 16, 0)
+        off_grid = bytearray(data)
+        struct.pack_into("<I", off_grid, first + 4, 1 << 30)
+        levels = bytearray(data)
+        struct.pack_into("<I", levels, 4, util.n_levels + 1)
+        for bad in (swapped, idle, off_grid, levels):
+            with pytest.raises(FormatError):
+                UtilizationIndex.decode(bytes(bad), 0)
 
     def test_absent_section_decodes_to_none(self):
         decoded, pos = UtilizationIndex.decode(
@@ -214,8 +385,6 @@ class TestQuery:
             assert cells[0][0] >= (util.t_min >> shift) << shift
 
     def test_unknown_lane_kind_raises(self):
-        from repro.errors import FormatError
-
         util = build(sample_records()).utilization
         with pytest.raises(FormatError):
             util.query("socket", 0, 1, 16)
@@ -243,8 +412,8 @@ class TestSidecarIntegration:
             index = build_index(handle)
         util = index.utilization
         busy = sum(
-            sum(states.values()) for levels in util.thread.values()
-            for _, states in levels[0].values()
+            sum(states.values()) for cells in level_cells(util, "thread", 0).values()
+            for _, states in cells.values()
         )
         assert busy == sum(r.duration for r in records)
 
